@@ -316,3 +316,59 @@ vx_smc_far:
 		}
 	}
 }
+
+// Globals beside code: vcc places a program's globals right after its
+// text, on the same page, and the examples/udf scorer writes one on
+// every call. Those stores land in bytes no decoded entry covers, so
+// the page keeps its decode and traces; the engines must still agree
+// bit for bit on every configuration, for the vcc scorer and for a
+// hand-written guest whose global sits right after its final hlt.
+func TestDifferentialCodeCacheSharedGlobals(t *testing.T) {
+	scorer, err := vcc.CompileFunc(`
+int weights[4];
+virtine int risk_score(int balance, int overdrafts) {
+	weights[0] = 2;
+	weights[1] = 7;
+	int score = overdrafts * weights[1] - balance / 100 * weights[0];
+	if (score < 0) score = 0;
+	return score;
+}`, "risk_score")
+	if err != nil {
+		t.Fatal(err)
+	}
+	asmGlobal := guest.MustFromAsm("asm-global", guest.WrapLongMode(`
+	out 0x08, rdi
+	movi rbx, 0x0
+	load rax, [rbx]
+	movi rdi, vx_global
+	load rcx, [rdi]
+	add rcx, rax
+	store [rdi], rcx
+	movi rbx, 0x4000
+	store [rbx], rcx
+	movi rdi, 0
+	out 0x00, rdi
+	hlt
+vx_global:
+	.dq 1000
+`))
+	for _, snap := range []bool{false, true} {
+		for _, cow := range []bool{false, true} {
+			if cow && !snap {
+				continue
+			}
+			opts := []wasp.Option{wasp.WithSnapshotting(snap), wasp.WithCOW(cow)}
+			diffRun(t, fmt.Sprintf("udf-scorer-snap=%v-cow=%v", snap, cow), opts, scorer.Image,
+				func(i int) wasp.RunConfig {
+					return wasp.RunConfig{
+						Policy: scorer.Policy, Args: vcc.MarshalArgs(int64(700*i), int64(i)),
+						RetBytes: vcc.RetSize, Snapshot: snap,
+					}
+				}, 6)
+			diffRun(t, fmt.Sprintf("asm-global-snap=%v-cow=%v", snap, cow), opts, asmGlobal,
+				func(i int) wasp.RunConfig {
+					return wasp.RunConfig{Args: vcc.MarshalArgs(int64(i)), RetBytes: 8, Snapshot: snap}
+				}, 6)
+		}
+	}
+}

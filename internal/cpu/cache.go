@@ -10,31 +10,46 @@ package cpu
 // Correctness hinges on invalidation. Every write into guest-physical
 // memory funnels through one of:
 //
-//   - the CPU's own store paths (storeWord, STOREB, WriteMem), which call
-//     invalidateCode directly, so self-modifying code re-decodes the
-//     bytes it just wrote even on a bare CPU with no VMM attached;
+//   - the CPU's own store paths (storeWord, STOREB, WriteMem and the
+//     compiled store closures in jit.go), which call invalidateCodeOne
+//     directly, so self-modifying code re-decodes the bytes it just
+//     wrote even on a bare CPU with no VMM attached;
 //   - vmm.Context.HostWrite — the funnel image loads, argument
 //     marshalling, and hypercall handler writes report to — which calls
-//     InvalidateCode before the dirty-page bookkeeping, so host writes
-//     flush exactly the touched code pages;
+//     InvalidateCode before the dirty-page bookkeeping;
 //   - vmm.Context.Clean / CPU.Reset, which drop the whole cache (the
 //     shell is zeroed; nothing cached can remain valid).
 //
-// Invalidation is page-granular and cheap: dropping a page is a single
-// pointer store, and the no-code-cached-here check data stores pay is one
-// nil test.
+// Invalidation is byte-exact. Each page carries a cover bitmap, one bit
+// per byte, recording which bytes its entries were decoded from; a
+// write unhooks the page — entries and compiled traces together — only
+// when it overlaps a covered byte. Data that shares a page with code (a
+// compiler's globals placed right after the text) can therefore be
+// written on every call without costing the page its decode. A store
+// to a page that holds no decode state pays one nil test; dropping a
+// page is a pointer store.
+//
+// Three rules keep everything that depends on a page inside its cover:
+//
+//   - predecode stops after an unconditional transfer (JMP, RET, HLT,
+//     LJMP), so the data that follows code is never decoded as code;
+//   - compileBlock compiles only offsets that already hold an entry in
+//     the current mode, so a trace reads no uncovered byte;
+//   - sharing compares covered bytes only (below).
 //
 // Pages can outlive one CPU. ShareCode freezes the current pages
-// (marking them immutable and recording the exact bytes they were decoded
-// from) and AdoptCode installs frozen pages into another CPU after
-// verifying the target memory still holds those bytes. Wasp uses this to
+// (marking them immutable, freezing their cover and recording the page
+// bytes they were decoded from) and AdoptCode installs frozen pages into
+// another CPU after verifying that the target memory still holds the
+// covered bytes; uncovered bytes may differ freely. Wasp uses this to
 // keep one decoded cache per image across pooled shells, snapshot
 // restores, and parked COW shells: decode once per image, not once per
-// run. A CPU that needs to write into a shared page (new entry, different
-// mode) clones it first, so frozen pages are never mutated.
+// run. A CPU that needs to write into a shared page (new entry,
+// different mode) clones it first, so frozen pages are never mutated.
 
 import (
 	"bytes"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -190,19 +205,23 @@ type codePage struct {
 	// (a Wasp per-image registry entry) and possibly by other CPUs. A
 	// CPU must clone a shared page before writing new entries into it.
 	shared bool
-	// src is the page content the entries were decoded from, recorded
-	// when the page is frozen; AdoptCode compares it against the target
-	// memory so a stale decode can never be installed.
-	src  []byte
-	ents [codePageSize]centry
+	// src is the page content when the page was frozen; AdoptCode and
+	// Merge compare its covered bytes, so a stale decode can never be
+	// installed.
+	src []byte
+	// cover has one bit per page byte, set for every byte some entry
+	// was decoded from. It only grows while the page is private and is
+	// frozen with it.
+	cover [codePageSize / 64]uint64
+	ents  [codePageSize]centry
 
 	// blocks maps (offset | mode<<12) to the compiled closure block
 	// starting there (jit.go). The map value is immutable; publication
 	// is copy-on-write under mu so concurrent CPUs sharing a frozen page
 	// read it with one atomic load. Blocks ride along with ShareCode /
 	// AdoptCode, so every tenant clone of an image executes one compiled
-	// form; validity is anchored to the page pointer itself — any write
-	// into the page drops the page, blocks and all.
+	// form; validity is anchored to the page pointer itself — a write
+	// into a covered byte drops the page, blocks and all.
 	mu     sync.Mutex
 	blocks atomic.Pointer[map[uint32]*cblock]
 }
@@ -243,11 +262,10 @@ func (c *CPU) codePageFor(page uint64) *codePage {
 		pg = &codePage{}
 		c.code[page] = pg
 	} else if pg.shared {
-		cl := &codePage{ents: pg.ents}
+		cl := &codePage{ents: pg.ents, cover: pg.cover}
 		// Compiled blocks stay valid across the clone: cloning happens
 		// only to write entries for offsets/modes the shared page lacks,
-		// never because the underlying bytes changed (a byte change
-		// drops the page instead).
+		// never because covered bytes changed (that drops the page).
 		cl.blocks.Store(pg.blocks.Load())
 		c.code[page] = cl
 		pg = cl
@@ -262,47 +280,117 @@ func (c *CPU) codePageFor(page uint64) *codePage {
 // from the registry and nothing new was decoded.
 func (c *CPU) CodeNew() bool { return c.codeNew }
 
-// InvalidateCode drops cached decodes overlapping [addr, addr+n) of
-// guest-physical memory. It is called by the CPU's own store paths and by
-// the VMM's dirty-page tracker (host writes into guest memory). Dropping
-// is a pointer store; shared pages are simply unreferenced, never mutated.
+// InvalidateCode drops the decoded pages whose covered bytes overlap
+// [addr, addr+n) of guest-physical memory. It is called for host writes
+// into guest memory (vmm.Context.HostWrite) and for Wasp's COW page
+// restores. Dropping is a pointer store; shared pages are simply
+// unreferenced, never mutated.
 func (c *CPU) InvalidateCode(addr uint64, n int) {
 	if n <= 0 || len(c.code) == 0 || addr >= uint64(len(c.Mem)) {
 		return
 	}
-	first := addr / codePageSize
-	last := (addr + uint64(n) - 1) / codePageSize
-	for p := first; p <= last && p < uint64(len(c.code)); p++ {
+	end := addr + uint64(n)
+	for p := addr / codePageSize; p < uint64(len(c.code)) && p*codePageSize < end; p++ {
 		if c.code[p] != nil {
-			c.code[p] = nil
-			c.codeClobbered = true
+			c.clobber(p, max(addr, p*codePageSize), min(end, (p+1)*codePageSize))
 		}
 	}
 }
 
-// invalidateCodeOne is the single-page fast path for mode-width stores,
-// which never cross a page boundary check worth a loop.
+// invalidateCodeOne is the store-path form of InvalidateCode for
+// mode-width stores, which touch at most two pages. A store to a page
+// with no decode state costs one nil test per page.
 func (c *CPU) invalidateCodeOne(addr uint64, n int) {
 	if len(c.code) == 0 {
 		return
 	}
 	first := addr / codePageSize
+	end := addr + uint64(n)
 	if first < uint64(len(c.code)) && c.code[first] != nil {
-		c.code[first] = nil
-		c.codeClobbered = true
+		c.clobber(first, addr, min(end, (first+1)*codePageSize))
 	}
-	if last := (addr + uint64(n) - 1) / codePageSize; last != first && last < uint64(len(c.code)) && c.code[last] != nil {
-		c.code[last] = nil
+	if last := (end - 1) / codePageSize; last != first && last < uint64(len(c.code)) && c.code[last] != nil {
+		c.clobber(last, last*codePageSize, end)
+	}
+}
+
+// clobber unhooks page p when the written physical range [lo, hi),
+// which lies inside p, overlaps bytes its entries were decoded from.
+func (c *CPU) clobber(p, lo, hi uint64) {
+	base := p * codePageSize
+	if c.code[p].covers(lo-base, hi-base) {
+		c.code[p] = nil
 		c.codeClobbered = true
 	}
 }
 
+// covers reports whether any byte of [lo, hi) (page offsets, hi at most
+// codePageSize) is covered.
+func (pg *codePage) covers(lo, hi uint64) bool {
+	for lo < hi {
+		w, m, next := coverSpan(lo, hi)
+		if pg.cover[w]&m != 0 {
+			return true
+		}
+		lo = next
+	}
+	return false
+}
+
+// setCover marks [lo, hi) (page offsets) as covered.
+func (pg *codePage) setCover(lo, hi uint64) {
+	for lo < hi {
+		w, m, next := coverSpan(lo, hi)
+		pg.cover[w] |= m
+		lo = next
+	}
+}
+
+// coverSpan returns the cover word holding offset lo, the bits of
+// [lo, hi) inside that word, and the offset where the next word starts.
+func coverSpan(lo, hi uint64) (w, m, next uint64) {
+	w = lo / 64
+	next = (w + 1) * 64
+	m = ^uint64(0) << (lo % 64)
+	if hi < next {
+		m &= ^uint64(0) >> (next - hi)
+	}
+	return w, m, next
+}
+
+// sameOn reports whether a and b, two equal-length copies of one page,
+// agree on every byte cover marks: whole-page equality first, then only
+// the 64-byte chunks that differ are checked byte by byte.
+func sameOn(a, b []byte, cover *[codePageSize / 64]uint64) bool {
+	if bytes.Equal(a, b) {
+		return true
+	}
+	for w, m := range cover {
+		lo := w * 64
+		if m == 0 || lo >= len(a) {
+			continue
+		}
+		hi := min(lo+64, len(a))
+		if bytes.Equal(a[lo:hi], b[lo:hi]) {
+			continue
+		}
+		for ; m != 0; m &= m - 1 {
+			if i := lo + bits.TrailingZeros64(m); i < hi && a[i] != b[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // predecode decodes forward from physical address phys, filling the
 // page's entries until the page ends, an already-decoded entry is
-// reached, or the bytes stop decoding — one decode pass per page, not one
-// per retired instruction. It returns the entry for phys. A decode error
-// at phys itself is returned (later errors just stop the fill — those
-// offsets may be data that is never executed). An instruction spanning
+// reached, an unconditional transfer (JMP, RET, HLT, LJMP) has been
+// decoded, or the bytes stop decoding — one decode pass per page, not one
+// per retired instruction. Every byte an entry is decoded from joins the
+// page's cover. It returns the entry for phys. A decode error at phys
+// itself is returned (later errors just stop the fill — those offsets
+// may be data that is never executed). An instruction spanning
 // the page boundary is returned but not cached: invalidation of the
 // second page could not find it.
 func (c *CPU) predecode(phys uint64) (centry, error) {
@@ -346,6 +434,8 @@ func (c *CPU) predecode(phys uint64) (centry, error) {
 			break // rejoined an already-decoded run
 		}
 		*slot = e
+		off := p - page*codePageSize
+		pg.setCover(off, off+uint64(in.Len))
 		// Superinstruction pass: rewrite the previous entry into a fused
 		// pair head. The current entry keeps its own slot, so jumps into
 		// the pair's second half still hit a plain decode.
@@ -360,10 +450,18 @@ func (c *CPU) predecode(phys uint64) (centry, error) {
 			ret = e
 			first = false
 		}
+		if endsFlow[in.Op] {
+			break // what follows is reached only by a jump, if at all
+		}
 		p += uint64(in.Len)
 	}
 	return ret, nil
 }
+
+// endsFlow marks the unconditional transfers: execution never falls
+// through them, so predecode stops there rather than decode the bytes
+// after them (often data) as code.
+var endsFlow = [isa.NumOps]bool{isa.JMP: true, isa.RET: true, isa.HLT: true, isa.LJMP: true}
 
 // CodeCache is an immutable set of predecoded pages detached from a CPU,
 // held by Wasp's per-image registry and by snapshots so later runs of the
@@ -388,7 +486,8 @@ func (cc CodeCache) Pages() int {
 
 // Merge combines cc with other, returning the result. A page missing
 // from cc is filled; an existing page is replaced only when the newcomer
-// was decoded from the *same* source bytes and holds strictly more
+// was decoded from the *same* source bytes — equal on every byte either
+// page covers; uncovered data may differ — and holds strictly more
 // entries (an input-dependent jump reached code the first freeze never
 // executed) — without the upgrade, shells adopting the sparse version
 // would clone, re-decode, and re-freeze that page on every run. Pages
@@ -409,8 +508,7 @@ func (cc CodeCache) Merge(other CodeCache) CodeCache {
 		if cur == nil {
 			return true
 		}
-		return cur != nw && bytes.Equal(cur.src, nw.src) &&
-			nw.popCount() > cur.popCount()
+		return cur != nw && sameSource(cur, nw) && nw.popCount() > cur.popCount()
 	}
 	changed := false
 	for i, pg := range other.pages {
@@ -431,6 +529,16 @@ func (cc CodeCache) Merge(other CodeCache) CodeCache {
 	return CodeCache{pages: pages}
 }
 
+// sameSource reports whether two frozen pages were decoded from the same
+// bytes: equal on the union of their covers.
+func sameSource(a, b *codePage) bool {
+	u := a.cover
+	for i := range u {
+		u[i] |= b.cover[i]
+	}
+	return len(a.src) == len(b.src) && sameOn(a.src, b.src, &u)
+}
+
 // popCount reports how many decoded entries the page holds.
 func (pg *codePage) popCount() int {
 	n := 0
@@ -443,10 +551,11 @@ func (pg *codePage) popCount() int {
 }
 
 // ShareCode freezes the CPU's current decoded pages and returns them as a
-// CodeCache. Frozen pages record the bytes they were decoded from and are
-// never mutated again — this CPU clones on its next write into one. The
-// caller is responsible for publishing the result with proper
-// synchronization (Wasp's registries do this under their locks).
+// CodeCache. Frozen pages record the page bytes, and their cover stops
+// growing: they are never mutated again — this CPU clones on its next
+// write into one. The caller is responsible for publishing the result
+// with proper synchronization (Wasp's registries do this under their
+// locks).
 func (c *CPU) ShareCode() CodeCache {
 	if len(c.code) == 0 {
 		return CodeCache{}
@@ -477,9 +586,10 @@ func (c *CPU) ShareCode() CodeCache {
 }
 
 // AdoptCode installs frozen pages into this CPU where it has none of its
-// own, skipping any page whose recorded source bytes no longer match the
-// CPU's memory — a stale decode is impossible by construction, whatever
-// path populated the memory (image load, snapshot restore, COW reset).
+// own, skipping any page whose covered bytes no longer match the CPU's
+// memory — a stale decode is impossible by construction, whatever path
+// populated the memory (image load, snapshot restore, COW reset). Bytes
+// outside the cover (data beside code) may differ.
 func (c *CPU) AdoptCode(cc CodeCache) {
 	if cc.Empty() {
 		return
@@ -495,10 +605,7 @@ func (c *CPU) AdoptCode(cc CodeCache) {
 			continue
 		}
 		lo := i * codePageSize
-		if lo+len(pg.src) > len(c.Mem) {
-			continue
-		}
-		if !bytes.Equal(pg.src, c.Mem[lo:lo+len(pg.src)]) {
+		if lo+len(pg.src) > len(c.Mem) || !sameOn(pg.src, c.Mem[lo:lo+len(pg.src)], &pg.cover) {
 			continue
 		}
 		c.code[i] = pg

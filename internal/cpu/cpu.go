@@ -212,8 +212,9 @@ type CPU struct {
 	// codeClobbered is set whenever an invalidation actually unhooks a
 	// decoded page. The trace executor's per-store self-modification
 	// check tests this hint first: stores to data pages (which have no
-	// decode state) never set it, so the precise page-identity check
-	// runs only when some decoded page really was hit.
+	// decode state) and to uncovered bytes of code pages never set it,
+	// so the precise page-identity check runs only when some decoded
+	// page really was hit.
 	codeClobbered bool
 
 	// lateFault attribution: a fused pair closure (jit.go) that faults

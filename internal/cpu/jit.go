@@ -39,10 +39,14 @@ package cpu
 // anchored at so a page mapped at a different virtual address falls
 // back to the single-entry tier instead of following stale targets.
 //
-// Deoptimization contract. A trace's validity is anchored to its page
-// pointer: any write into the page (guest store, host write, reset)
-// unhooks the page and the traces with it. On top of that, four paths
-// leave a partially-executed trace with bit-exact architectural state:
+// Deoptimization contract. A trace is compiled only from offsets that
+// already hold a decoded entry on its page, so it depends on covered
+// bytes alone (cache.go). Its validity is anchored to its page pointer:
+// a write into a covered byte (guest store, host write, COW restore) or
+// a reset unhooks the page and the traces with it, while a write into
+// uncovered bytes of the same page — data beside code — leaves both in
+// place. On top of that, four paths leave a partially-executed trace
+// with bit-exact architectural state:
 //
 //   - fault: closures return an *Exit; the executor rolls the
 //     unexecuted steps' batched cycles back, retires only completed
@@ -51,18 +55,18 @@ package cpu
 //   - deopt (errDeopt): the step did not execute at all (Mode32 STORE
 //     before the ident-map latch); its own cost is rolled back too and
 //     the dispatch loop re-executes it via the delegation path;
-//   - self-modification: a store step that invalidated the trace's own
-//     page stops the trace after the completed store; the dispatch loop
-//     re-decodes the rewritten bytes (detected by the page-pointer
-//     check);
+//   - self-modification: a store step that wrote covered bytes of the
+//     trace's own page stops the trace after the completed store; the
+//     dispatch loop re-decodes the rewritten bytes (detected by the
+//     page-pointer check);
 //   - budget: a trace is only entered when the remaining instruction
 //     budget covers it; otherwise the single-entry tier runs, keeping
 //     the budget-exhaustion fault on the same instruction as the legacy
 //     engine.
 //
-// Traces never leave their 4 KiB physical page (invalidation is
-// page-granular), never contain specials (mode switches, I/O), and end
-// at the first unfollowable control transfer.
+// Traces never leave their 4 KiB physical page (a trace hangs off one
+// page's cover), never contain specials (mode switches, I/O), and end at
+// the first unfollowable control transfer or undecoded offset.
 
 import (
 	"encoding/binary"
@@ -148,7 +152,7 @@ func (c *CPU) blockAt(pg *codePage, page uint64, off uint32, ip uint64) *cblock 
 			return blk
 		}
 	}
-	blk := c.compileBlock(ip, phys)
+	blk := c.compileBlock(pg, ip, phys)
 	if blk == nil {
 		return nil
 	}
@@ -379,18 +383,20 @@ func (c *CPU) setLogicW(res uint64, mask, sign uint64) {
 
 var stepNop = func(c *CPU) *Exit { return nil }
 
-// compileBlock builds the trace anchored at virtual ip / physical phys:
-// it decodes forward, emitting one closure per instruction, fusing
-// flag-setter/branch pairs into side-exit steps, following direct JMP
-// and CALL targets that stay inside the head's 4 KiB page, and
-// speculating the RETs that match followed CALLs. Compilation stops at
-// a special, a decode stop, the page boundary, an unfollowable control
-// transfer, or the step cap. The closures capture operands and the
-// mode's width/mask — never the CPU, its memory, or absolute step
-// addresses (only branch-target immediates, which are architectural) —
-// so a trace is shareable across every CPU whose page bytes match
-// (which AdoptCode guarantees).
-func (c *CPU) compileBlock(ip, phys uint64) *cblock {
+// compileBlock builds the trace anchored at virtual ip / physical phys
+// on page pg: it decodes forward, emitting one closure per instruction,
+// fusing flag-setter/branch pairs into side-exit steps, following direct
+// JMP and CALL targets that stay inside the head's 4 KiB page, and
+// speculating the RETs that match followed CALLs. Only offsets that hold
+// an entry on pg in the current mode are compiled — a pair's second
+// half and followed targets included — so the trace reads covered bytes
+// only. Compilation stops at a special, an offset with no entry, the
+// page boundary, an unfollowable control transfer, or the step cap. The
+// closures capture operands and the mode's width/mask — never the CPU,
+// its memory, or absolute step addresses (only branch-target
+// immediates, which are architectural) — so a trace is shareable across
+// every CPU whose covered page bytes match (which AdoptCode guarantees).
+func (c *CPU) compileBlock(pg *codePage, ip, phys uint64) *cblock {
 	mode := c.Mode
 	w := uint64(mode.Width())
 	mask := widthMask(mode)
@@ -426,13 +432,22 @@ func (c *CPU) compileBlock(ip, phys uint64) *cblock {
 		}
 		return int32(d), true
 	}
+	// decoded reports whether physical pp holds an entry on pg in this
+	// mode, i.e. whether its bytes are covered.
+	decoded := func(pp int64) bool {
+		if pp < int64(pBase) || pp >= int64(pBase)+codePageSize {
+			return false
+		}
+		e := &pg.ents[pp-int64(pBase)]
+		return e.n != 0 && e.mode == mode
+	}
 	rel := int32(0)
 	emitted := map[int32]bool{} // trace-order back-edge detection
 compile:
 	for len(blk.ops) < maxBlockSteps {
 		emitted[rel] = true
 		pp := int64(phys) + int64(rel)
-		if pp < int64(pBase) || pp >= int64(pBase)+codePageSize {
+		if !decoded(pp) {
 			break
 		}
 		in, err := isa.Decode(c.Mem, uint64(pp), mode)
@@ -453,7 +468,7 @@ compile:
 		// fault); the trace continues on the not-taken path.
 		if in.Op == isa.CMP || in.Op == isa.CMPI || in.Op == isa.DEC || in.Op == isa.INC {
 			if jn, jerr := isa.Decode(c.Mem, uint64(pp)+uint64(n), mode); jerr == nil &&
-				isJcc(jn.Op) && pp+int64(n)+int64(jn.Len) <= int64(pBase)+codePageSize {
+				isJcc(jn.Op) && decoded(pp+int64(n)) && pp+int64(n)+int64(jn.Len) <= int64(pBase)+codePageSize {
 				jop := jn.Op
 				target := jn.Imm & mask
 				pair := n + int32(jn.Len)
@@ -676,7 +691,7 @@ compile:
 		// unfused (and legacy) engines would.
 		if mode == isa.Mode64 &&
 			(in.Op == isa.PUSH || in.Op == isa.POP || in.Op == isa.MOV || in.Op == isa.SUBI) {
-			if jn, jerr := isa.Decode(c.Mem, uint64(pp)+uint64(n), mode); jerr == nil &&
+			if jn, jerr := isa.Decode(c.Mem, uint64(pp)+uint64(n), mode); jerr == nil && decoded(pp+int64(n)) &&
 				pp+int64(n)+int64(jn.Len) <= int64(pBase)+codePageSize && !specialOp[jn.Op] {
 				pair := n + int32(jn.Len)
 				pcost := cost + baseCost(jn.Op)

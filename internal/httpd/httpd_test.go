@@ -120,6 +120,25 @@ func TestFileServerServes(t *testing.T) {
 	}
 }
 
+// Under COW resets a parked shell serves request after request; each
+// response must still count only its own request's hypercall exits.
+func TestFileServerExitsUnderCOW(t *testing.T) {
+	s, err := NewFileServer(wasp.New(wasp.WithCOW(true)), testFiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Snapshot = true
+	for i, want := range []uint64{8, 7, 7, 7, 7} {
+		resp, err := s.Serve(Request("/index.html"), cycles.NewClock())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != 200 || resp.Exits != want {
+			t.Fatalf("request %d: status %d, exits %d; want 200, %d", i, resp.Status, resp.Exits, want)
+		}
+	}
+}
+
 func TestFileServer404(t *testing.T) {
 	w := wasp.New()
 	s, err := NewFileServer(w, testFiles())

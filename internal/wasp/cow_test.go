@@ -169,3 +169,40 @@ func TestCOWWithArguments(t *testing.T) {
 		t.Fatalf("third: %d", got)
 	}
 }
+
+// A parked COW shell keeps its context between runs, so its counters
+// must be reported per run: every warm COW run of one image reports the
+// same Entries, IOExits and BootEvents as a warm full-restore run, not
+// totals accumulated since the shell was last cleaned.
+func TestCOWRunCountersArePerRun(t *testing.T) {
+	cfg := RunConfig{Snapshot: true, RetBytes: 8}
+	warm := func(opts ...Option) []*Result {
+		w := New(opts...)
+		var out []*Result
+		for i := 0; i < 5; i++ {
+			res, err := w.Run(cowImg("cow-counters"), cfg, cycles.NewClock())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res)
+		}
+		return out[1:]
+	}
+	ref := warm()[0]
+	if ref.IOExits == 0 || ref.Entries == 0 {
+		t.Fatalf("reference run counted nothing: entries %d, exits %d", ref.Entries, ref.IOExits)
+	}
+	for i, res := range warm(WithCOW(true)) {
+		if res.COWPages == 0 {
+			t.Fatalf("warm run %d: no COW reset", i)
+		}
+		if res.Entries != ref.Entries || res.IOExits != ref.IOExits {
+			t.Fatalf("warm run %d: entries %d, exits %d; want %d, %d (accumulated across COW runs?)",
+				i, res.Entries, res.IOExits, ref.Entries, ref.IOExits)
+		}
+		if res.BootEvents != ref.BootEvents {
+			t.Fatalf("warm run %d: boot events %v, want %v (stale milestones from an earlier run)",
+				i, res.BootEvents, ref.BootEvents)
+		}
+	}
+}

@@ -52,14 +52,16 @@ type Result struct {
 	Stdout []byte
 	// Marks are guest milestone timestamps (Fig 4).
 	Marks []hypercall.Mark
-	// Entries and IOExits count guest entries and hypercall exits.
+	// Entries and IOExits count this run's guest entries and hypercall
+	// exits.
 	Entries uint64
 	IOExits uint64
 	// Retired counts guest instructions retired by this run (native
 	// workloads retire only their boot stub).
 	Retired uint64
-	// BootEvents are the CPU's Table 1 milestone timestamps (absolute
-	// clock values; subtract GuestEntry for in-guest offsets).
+	// BootEvents are the CPU's Table 1 milestone timestamps reached in
+	// this run (absolute clock values; subtract GuestEntry for in-guest
+	// offsets; zero for milestones a snapshot restore skipped).
 	BootEvents [cpu.NumEvents]uint64
 	// GuestEntry is the clock value at the first guest entry.
 	GuestEntry uint64
@@ -137,6 +139,15 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	if ctx == nil {
 		ctx = w.acquire(be, memBytes, clk)
 	}
+	// The context is parked or released by a defer registered before the
+	// tier-log drain below, so it runs after it: once parked or released,
+	// the context belongs to the next run or the cleaner.
+	park := false
+	defer func() {
+		if !park || !be.cowShells.park(img.Name, ctx) {
+			w.release(ctx)
+		}
+	}()
 	if tr := w.tracer; tr.Enabled() {
 		// Tier transitions (trace compiles, deopts) batch into the CPU's
 		// bounded log during the run — the dirty-span pattern — and drain
@@ -160,14 +171,16 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	if w.pairProf != nil {
 		ctx.CPU.PairProf = make(map[uint16]uint64)
 	}
-	parked := false
-	defer func() {
-		if !parked {
-			w.release(ctx)
-		}
-	}()
 
+	// A parked COW shell keeps its counters and boot milestones from the
+	// runs before this one: report this run's deltas, and clear the
+	// milestones so they hold this run's timestamps only, exactly as on
+	// a freshly cleaned shell.
 	ctx.FirstEntry = 0
+	if resident {
+		ctx.CPU.Events = [cpu.NumEvents]uint64{}
+	}
+	entries0, exits0 := ctx.Entries, ctx.ExitsIO
 	retired0 := ctx.CPU.Retired
 	stats0 := ctx.CPU.Stats
 	res := &Result{}
@@ -322,8 +335,8 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 			res.Marks[i].Cycle -= ctx.FirstEntry
 		}
 	}
-	res.Entries = ctx.Entries
-	res.IOExits = ctx.ExitsIO
+	res.Entries = ctx.Entries - entries0
+	res.IOExits = ctx.ExitsIO - exits0
 	res.Retired = ctx.CPU.Retired - retired0
 	res.BootEvents = ctx.CPU.Events
 	res.GuestEntry = ctx.FirstEntry
@@ -363,14 +376,9 @@ func (w *Wasp) RunOn(platform string, img *guest.Image, cfg RunConfig, clk *cycl
 	if !w.legacyInterp && ctx.CPU.CodeNew() {
 		w.codes.merge(img.ContentKey(), ctx.CPU.ShareCode())
 	}
-	if cowEligible && be.snapshots.has(img.Name) {
-		// Park the context for the image's next COW reset on this
-		// backend; if one is already parked, recycle through the pool.
-		parked = true
-		if !be.cowShells.park(img.Name, ctx) {
-			w.release(ctx)
-		}
-	}
+	// Park the context for the image's next COW reset on this backend;
+	// if one is already parked, recycle through the pool.
+	park = cowEligible && be.snapshots.has(img.Name)
 	return res, nil
 }
 
